@@ -6,7 +6,9 @@
 #define CVOPT_SAMPLE_STRATIFIED_SAMPLE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -94,11 +96,38 @@ class StratifiedSample {
     return strat_ != nullptr ? strat_->num_strata() : 0;
   }
 
+  /// Query-time group index over the sampled rows for `group_by`
+  /// (GroupIndex::BuildForRows over rows(), planned with observed_strata()
+  /// as the cardinality prior). Built on first use per distinct GROUP BY
+  /// list, then cached for every later query on this sample — the rows
+  /// never change after the draw, so the index is a pure function of
+  /// (sample, grouping). Safe to call concurrently: simultaneous first uses
+  /// build once. A failed or governance-aborted build is not cached; the
+  /// next call retries. The first build runs under the caller's ambient
+  /// QueryContext (charged to its budget while building); the cached index
+  /// is sample-lifetime state, freed with the last copy of the sample.
+  Result<std::shared_ptr<const GroupIndex>> GroupIndexFor(
+      const std::vector<std::string>& group_by) const;
+
   /// Copies the sampled rows into a standalone Table (for export or for
   /// engines that want a physical sample table).
   Table Materialize() const { return base_->TakeRows(rows_); }
 
  private:
+  // Per-grouping group indexes, filled lazily by GroupIndexFor. Held
+  // behind a shared_ptr so the sample stays cheaply copyable/movable
+  // (copies share the cache — rows and base table are immutable). `mu`
+  // guards the map only; each slot's own mutex serializes its build, so a
+  // build never blocks hits on other groupings.
+  struct GroupIndexSlot {
+    std::mutex mu;
+    std::shared_ptr<const GroupIndex> index;  // null until a build succeeds
+  };
+  struct GroupIndexCache {
+    std::mutex mu;
+    std::map<std::vector<std::string>, std::shared_ptr<GroupIndexSlot>> slots;
+  };
+
   const Table* base_;
   std::vector<uint32_t> rows_;
   std::vector<double> weights_;
@@ -107,6 +136,8 @@ class StratifiedSample {
   std::vector<uint8_t> stratum_exhaustive_;
   std::vector<uint8_t> stratum_degraded_;
   size_t observed_strata_ = 0;
+  std::shared_ptr<GroupIndexCache> group_indexes_ =
+      std::make_shared<GroupIndexCache>();
 };
 
 }  // namespace cvopt

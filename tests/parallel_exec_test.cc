@@ -117,22 +117,31 @@ TEST_P(ParallelExecTest, ExactExecutorFlatKeysMatchShim) {
   EXPECT_EQ(r.keys().size(), r.num_groups());
 }
 
-TEST_P(ParallelExecTest, ApproxExecutorMatchesSerial) {
-  const Table& t = TestTable();
-  // The sample itself is thread-count independent (stratification is
-  // bit-identical, the draw runs on per-stratum Rng::ForStratum streams).
+// A fresh 20k-row uniform sample of TestTable(). Samples cache their
+// query-time group index, so a test comparing execution modes gives each
+// mode its own sample — otherwise later modes would reuse the first mode's
+// build instead of running their own. The sample itself is thread-count
+// independent (stratification is bit-identical, the draw runs on
+// per-stratum Rng::ForStratum streams).
+StratifiedSample FreshUniformSample() {
   Rng rng(42);
   UniformSampler sampler;
-  ASSERT_OK_AND_ASSIGN(StratifiedSample sample,
-                       sampler.Build(t, {AllAggregatesQuery(false)}, 20000, &rng));
+  return std::move(sampler.Build(TestTable(), {AllAggregatesQuery(false)},
+                                 20000, &rng))
+      .ValueOrDie();
+}
+
+TEST_P(ParallelExecTest, ApproxExecutorMatchesSerial) {
   for (bool filtered : {false, true}) {
     QueryResult serial;
     {
       ScopedExecThreads one(1);
+      const StratifiedSample sample = FreshUniformSample();
       ASSERT_OK_AND_ASSIGN(serial,
                            ExecuteApprox(sample, AllAggregatesQuery(filtered)));
     }
     ScopedExecThreads threads(GetParam());
+    const StratifiedSample sample = FreshUniformSample();
     ASSERT_OK_AND_ASSIGN(QueryResult par,
                          ExecuteApprox(sample, AllAggregatesQuery(filtered)));
     ExpectResultsMatch(serial, par, /*weighted_counts=*/true);
@@ -346,25 +355,24 @@ TEST_P(ParallelExecTest, ForcedRadixExecutorsMatchDefaultPaths) {
   // bit-identical ids); results must match the default serial path within
   // the float-summation tolerance, with MEDIAN and counts exact.
   const Table& t = TestTable();
-  Rng srng(42);
-  UniformSampler sampler;
-  ASSERT_OK_AND_ASSIGN(StratifiedSample sample,
-                       sampler.Build(t, {AllAggregatesQuery(false)}, 20000, &srng));
   for (bool filtered : {false, true}) {
+    const QuerySpec q = AllAggregatesQuery(filtered);
     QueryResult serial_exact, serial_approx;
     {
       ScopedExecThreads one(1);
-      ASSERT_OK_AND_ASSIGN(serial_exact,
-                           ExecuteExact(t, AllAggregatesQuery(filtered)));
-      ASSERT_OK_AND_ASSIGN(serial_approx,
-                           ExecuteApprox(sample, AllAggregatesQuery(filtered)));
+      const StratifiedSample sample = FreshUniformSample();
+      ASSERT_OK_AND_ASSIGN(serial_exact, ExecuteExact(t, q));
+      ASSERT_OK_AND_ASSIGN(serial_approx, ExecuteApprox(sample, q));
     }
     ScopedRadixOverride radix(/*mode=*/1, /*partitions=*/16);
     ScopedExecThreads threads(GetParam());
-    ASSERT_OK_AND_ASSIGN(QueryResult par_exact,
-                         ExecuteExact(t, AllAggregatesQuery(filtered)));
-    ASSERT_OK_AND_ASSIGN(QueryResult par_approx,
-                         ExecuteApprox(sample, AllAggregatesQuery(filtered)));
+    const StratifiedSample sample = FreshUniformSample();
+    ASSERT_OK_AND_ASSIGN(QueryResult par_exact, ExecuteExact(t, q));
+    ASSERT_OK_AND_ASSIGN(QueryResult par_approx, ExecuteApprox(sample, q));
+    // The approx query ran over a forced-radix build of its own.
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> gidx,
+                         sample.GroupIndexFor(q.group_by));
+    EXPECT_NE(gidx->partitions(), nullptr);
     ExpectResultsMatch(serial_exact, par_exact, /*weighted_counts=*/false);
     ExpectResultsMatch(serial_approx, par_approx, /*weighted_counts=*/true);
   }
@@ -467,23 +475,29 @@ TEST_P(ParallelExecTest, ExecutorsBitIdenticalSimdOnVsOff) {
   // same rows in the same order, so every float accumulates in the same
   // sequence. On hosts without a vector backend both passes are scalar.
   const Table& t = TestTable();
-  Rng srng(42);
-  UniformSampler sampler;
-  ASSERT_OK_AND_ASSIGN(StratifiedSample sample,
-                       sampler.Build(t, {AllAggregatesQuery(false)}, 20000,
-                                     &srng));
   ScopedExecThreads threads(GetParam());
   for (const int radix_mode : {0, 1}) {
     ScopedRadixOverride radix(radix_mode, /*partitions=*/radix_mode ? 8 : 0);
     for (const bool filtered : {false, true}) {
       const QuerySpec q = AllAggregatesQuery(filtered);
+      // One sample per SIMD mode: each approx pass runs its own group-index
+      // build under its own backend and radix setting.
+      const StratifiedSample scalar_sample = FreshUniformSample();
+      const StratifiedSample vec_sample = FreshUniformSample();
       simd::SetEnabledForTesting(0);
       ASSERT_OK_AND_ASSIGN(QueryResult exact_scalar, ExecuteExact(t, q));
       ASSERT_OK_AND_ASSIGN(QueryResult approx_scalar,
-                           ExecuteApprox(sample, q));
+                           ExecuteApprox(scalar_sample, q));
       simd::SetEnabledForTesting(1);
       ASSERT_OK_AND_ASSIGN(QueryResult exact_vec, ExecuteExact(t, q));
-      ASSERT_OK_AND_ASSIGN(QueryResult approx_vec, ExecuteApprox(sample, q));
+      ASSERT_OK_AND_ASSIGN(QueryResult approx_vec,
+                           ExecuteApprox(vec_sample, q));
+      for (const StratifiedSample* s : {&scalar_sample, &vec_sample}) {
+        ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> gidx,
+                             s->GroupIndexFor(q.group_by));
+        EXPECT_EQ(gidx->partitions() != nullptr, radix_mode == 1)
+            << "radix=" << radix_mode << " filtered=" << filtered;
+      }
       auto expect_bitwise = [&](const QueryResult& a, const QueryResult& b) {
         ASSERT_EQ(a.num_groups(), b.num_groups());
         for (size_t i = 0; i < a.num_groups(); ++i) {

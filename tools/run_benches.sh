@@ -124,7 +124,13 @@ measured = {
     name: round(statistics.median(run[name] for run in runs if name in run))
     for name in runs[0]
 }
-current = {k: v for k, v in measured.items() if "Parallel/" not in k}
+# Wall-clock benches carry a "/real_time" suffix; single-threaded keys drop
+# it so they stay comparable with earlier records.
+current = {
+    k.split("/real_time")[0]: v
+    for k, v in measured.items()
+    if "Parallel/" not in k
+}
 parallel = {k: v for k, v in measured.items() if "Parallel/" in k}
 
 try:
@@ -179,7 +185,11 @@ doc["description"] = (
 commit = subprocess.run(
     ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True
 )
-doc["commit"] = commit.stdout.strip() or "unknown"
+# A run over uncommitted changes is not the committed code: stamp it so.
+dirty = subprocess.run(
+    ["git", "status", "--porcelain"], capture_output=True, text=True
+).stdout.strip()
+doc["commit"] = (commit.stdout.strip() or "unknown") + ("-dirty" if dirty else "")
 doc["repeats"] = repeats
 doc["hardware_concurrency"] = os.cpu_count() or 1
 
